@@ -44,8 +44,9 @@ DqnScheme::Config read_scheme_config(const std::string& path);
 void load_policy(DqnScheme& scheme, const std::string& path);
 
 /// The training loop's own mutable state, as stored in the TRAINPRG chunk.
-/// Shared by every trainer flavor: mode 0 = sequential train(), 1 =
-/// train_batched(), 2 = train_parallel().
+/// Shared by both trainers: mode 0 = sequential train(), 1 =
+/// train_batched(). Mode 2 belonged to a retired parallel trainer; such
+/// checkpoints are rejected as a mode mismatch.
 struct TrainProgress {
   std::uint8_t mode = 0;
   std::uint64_t replicas = 1;

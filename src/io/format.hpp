@@ -82,9 +82,7 @@ inline constexpr char kEnvState[] = "ENVSTATE";   // environment replicas
 inline constexpr char kJammerCfg[] = "JAMRCFG ";  // adversary JammerSpec
 inline constexpr char kObsWindows[] = "OBSWIN  ";  // batched rollout windows
 inline constexpr char kTrainProgress[] = "TRAINPRG";  // trainer loop state
-inline constexpr char kParallelTrain[] = "PARTRNST";  // parallel trainer state
-inline constexpr char kShardReplay[] = "SHRDRPLY";    // sharded replay rings
-inline constexpr char kActorShards[] = "ACTSHRDS";    // per-actor env/rng state
+// Retired with the parallel trainer; never reuse: PARTRNST, SHRDRPLY, ACTSHRDS.
 inline constexpr char kServeJob[] = "SRVJOB  ";       // serve tenant JobSpec
 inline constexpr char kServeProgress[] = "SRVPRG  ";  // serve tenant progress
 inline constexpr char kQlState[] = "QLSTATE ";        // tabular QL scheme state

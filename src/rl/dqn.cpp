@@ -37,16 +37,14 @@ DqnAgent::DqnAgent(DqnConfig config)
   target_.copy_parameters_from(online_);
 }
 
-double DqnAgent::epsilon_for(const DqnConfig& config, std::size_t env_steps) {
-  if (config.epsilon_decay_steps == 0) return config.epsilon_end;
+double DqnAgent::epsilon() const {
+  if (config_.epsilon_decay_steps == 0) return config_.epsilon_end;
   const double frac =
-      std::min(1.0, static_cast<double>(env_steps) /
-                        static_cast<double>(config.epsilon_decay_steps));
-  return config.epsilon_start +
-         frac * (config.epsilon_end - config.epsilon_start);
+      std::min(1.0, static_cast<double>(env_steps_) /
+                        static_cast<double>(config_.epsilon_decay_steps));
+  return config_.epsilon_start +
+         frac * (config_.epsilon_end - config_.epsilon_start);
 }
-
-double DqnAgent::epsilon() const { return epsilon_for(config_, env_steps_); }
 
 std::vector<double> DqnAgent::q_values(std::span<const double> state) const {
   CTJ_CHECK_MSG(state.size() == config_.state_dim,

@@ -90,22 +90,7 @@ class DqnAgent {
   /// — the objective the clipped gradients actually optimize — if run.
   std::optional<double> train_step();
 
-  /// One gradient step on a caller-assembled minibatch ([B × state_dim]
-  /// states/next_states plus per-row action/reward/done) — the parallel
-  /// trainer's learner path, sampling from its sharded replay instead of
-  /// the agent's internal buffer. Identical op order to train_step() after
-  /// sampling: target/online forwards, fused TD-Huber kernel, Adam step,
-  /// periodic target sync. Returns the minibatch mean Huber loss.
-  double train_on_batch(const Matrix& states, const Matrix& next_states,
-                        std::span<const std::size_t> actions,
-                        std::span<const double> rewards,
-                        std::span<const std::uint8_t> dones);
-
-  /// The ε-greedy exploration rate after `env_steps` observed transitions
-  /// under `config`'s linear decay schedule (pure function — the parallel
-  /// trainer computes the published ε from its consumed-slot counter).
-  static double epsilon_for(const DqnConfig& config, std::size_t env_steps);
-
+  /// The ε-greedy exploration rate under the linear decay schedule.
   double epsilon() const;
   std::size_t steps() const { return env_steps_; }
   std::size_t gradient_steps() const { return grad_steps_; }
@@ -145,6 +130,15 @@ class DqnAgent {
 
  private:
   void load_state_impl(const io::ContainerReader& in, bool adopt_seed);
+
+  /// One gradient step on the assembled minibatch ([B × state_dim]
+  /// states/next_states plus per-row action/reward/done): target/online
+  /// forwards, fused TD-Huber kernel, Adam step, periodic target sync.
+  /// Returns the minibatch mean Huber loss.
+  double train_on_batch(const Matrix& states, const Matrix& next_states,
+                        std::span<const std::size_t> actions,
+                        std::span<const double> rewards,
+                        std::span<const std::uint8_t> dones);
 
   DqnConfig config_;
   Rng rng_;

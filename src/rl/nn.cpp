@@ -15,33 +15,9 @@ LinearLayer::LinearLayer(std::size_t in, std::size_t out, Rng& rng)
       gw_(in, out, 0.0),
       gb_(1, out, 0.0) {}
 
-Matrix LinearLayer::forward(const Matrix& x) {
-  cached_input_ = x;
-  Matrix y;
-  forward_into(x, y);
-  return y;
-}
-
-Matrix LinearLayer::forward_const(const Matrix& x) const {
-  Matrix y;
-  forward_into(x, y);
-  return y;
-}
-
-void LinearLayer::forward_into(const Matrix& x, Matrix& y) const {
-  forward_into(x, y, /*relu=*/false);
-}
-
 void LinearLayer::forward_into(const Matrix& x, Matrix& y, bool relu) const {
   matmul_into(y, x, w_);
   kern::ops().bias_act(y.data(), b_.data(), y.rows(), y.cols(), relu);
-}
-
-Matrix LinearLayer::backward(const Matrix& grad_out) {
-  CTJ_CHECK_MSG(cached_input_.rows() == grad_out.rows(),
-                "backward() without a matching forward()");
-  backward_params_acc(cached_input_, grad_out);
-  return matmul_a_bt(grad_out, w_);
 }
 
 void LinearLayer::backward_params_acc(const Matrix& input,
@@ -86,7 +62,6 @@ Mlp::Mlp(std::vector<std::size_t> sizes, Rng& rng) : sizes_(std::move(sizes)) {
   for (std::size_t i = 0; i + 1 < sizes_.size(); ++i) {
     layers_.emplace_back(sizes_[i], sizes_[i + 1], rng);
   }
-  relu_masks_.resize(layers_.size() > 0 ? layers_.size() - 1 : 0);
 }
 
 Matrix Mlp::forward(const Matrix& x) { return forward_cached(x); }
@@ -95,18 +70,8 @@ const Matrix& Mlp::forward_cached(const Matrix& x) {
   acts_.resize(layers_.size() + 1);
   acts_[0] = x;
   for (std::size_t i = 0; i < layers_.size(); ++i) {
-    Matrix& h = acts_[i + 1];
-    const bool hidden = i + 1 < layers_.size();
-    // ReLU fused into the bias kernel; the backward mask is recovered from
-    // the post-activation values (h > 0 post-ReLU iff pre-ReLU).
-    layers_[i].forward_into(acts_[i], h, hidden);
-    if (hidden) {
-      Matrix& mask = relu_masks_[i];
-      mask.resize(h.rows(), h.cols());
-      for (std::size_t k = 0; k < h.size(); ++k) {
-        if (h.data()[k] > 0.0) mask.data()[k] = 1.0;
-      }
-    }
+    // ReLU fused into the bias kernel on every hidden layer.
+    layers_[i].forward_into(acts_[i], acts_[i + 1], i + 1 < layers_.size());
   }
   return acts_.back();
 }
@@ -148,10 +113,12 @@ void Mlp::backward(const Matrix& grad_out) {
     if (i > 0) {
       layers_[i].grad_input_into(*g, *next);
       std::swap(g, next);
-      const Matrix& mask = relu_masks_[i - 1];
-      CTJ_CHECK(mask.rows() == g->rows() && mask.cols() == g->cols());
+      // ReLU derivative from the post-activation input of layer i
+      // (h > 0 post-ReLU iff pre-ReLU), applied as a 1/0 factor.
+      const Matrix& h = acts_[i];
+      CTJ_CHECK(h.rows() == g->rows() && h.cols() == g->cols());
       for (std::size_t k = 0; k < g->size(); ++k) {
-        g->data()[k] *= mask.data()[k];
+        g->data()[k] *= h.data()[k] > 0.0 ? 1.0 : 0.0;
       }
     }
   }
@@ -215,21 +182,6 @@ void Mlp::copy_flat_to(std::span<double> out) const {
     const Matrix& b = layer.bias();
     dst = std::copy(w.data(), w.data() + w.size(), dst);
     dst = std::copy(b.data(), b.data() + b.size(), dst);
-  }
-}
-
-void Mlp::copy_flat_from(std::span<const double> in) {
-  CTJ_CHECK_MSG(in.size() == param_count(),
-                "flat buffer holds " << in.size() << " doubles, network has "
-                                     << param_count());
-  const double* src = in.data();
-  for (auto& layer : layers_) {
-    Matrix& w = layer.weights();
-    Matrix& b = layer.bias();
-    std::copy(src, src + w.size(), w.data());
-    src += w.size();
-    std::copy(src, src + b.size(), b.data());
-    src += b.size();
   }
 }
 

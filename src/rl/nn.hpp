@@ -17,29 +17,18 @@
 
 namespace ctj::rl {
 
-/// One affine layer y = x·W + b with cached activations for backprop.
+/// One affine layer y = x·W + b. Holds no activations: the owning Mlp keeps
+/// the layer inputs that backprop needs.
 class LinearLayer {
  public:
   LinearLayer(std::size_t in, std::size_t out, Rng& rng);
 
-  /// x: [batch × in] → [batch × out]; caches x for backward().
-  Matrix forward(const Matrix& x);
-  /// Forward without caching (inference on a const network).
-  Matrix forward_const(const Matrix& x) const;
-
-  /// Allocation-free forward: y = x·W + b, reusing y's buffer. Does not
-  /// cache x — the Mlp training path keeps its own activation buffers.
-  /// With `relu` set the activation is fused into the bias kernel
-  /// (single pass over y).
-  void forward_into(const Matrix& x, Matrix& y) const;
+  /// Allocation-free forward: y = x·W + b, reusing y's buffer. With `relu`
+  /// set the activation is fused into the bias kernel (single pass over y).
   void forward_into(const Matrix& x, Matrix& y, bool relu) const;
 
-  /// grad_out: [batch × out] → grad_in [batch × in]; accumulates parameter
-  /// gradients (summed over the batch).
-  Matrix backward(const Matrix& grad_out);
-
-  /// Split backward used by the buffer-reusing Mlp path: accumulate the
-  /// parameter gradients from the layer input actually seen in forward…
+  /// Backward, split in two: accumulate the parameter gradients (summed
+  /// over the batch) from the layer input actually seen in forward…
   void backward_params_acc(const Matrix& input, const Matrix& grad_out);
   /// …and propagate the input gradient without touching parameters.
   /// Non-const: keeps a Wᵀ scratch so the product runs through the
@@ -65,7 +54,6 @@ class LinearLayer {
   Matrix b_;   // [1 × out]
   Matrix gw_;
   Matrix gb_;
-  Matrix cached_input_;
   Matrix wt_scratch_;  // Wᵀ buffer for grad_input_into()
 };
 
@@ -79,8 +67,9 @@ class Mlp {
   Matrix forward_const(const Matrix& x) const;
 
   /// Training forward pass reusing internal activation buffers; caches the
-  /// activations and ReLU masks backward() needs. The returned reference is
-  /// valid until the next forward on this network.
+  /// activations backward() needs (the ReLU derivative is read back from
+  /// them). The returned reference is valid until the next forward on this
+  /// network.
   const Matrix& forward_cached(const Matrix& x);
 
   /// Inference forward pass reusing internal scratch (no backward caching,
@@ -115,11 +104,8 @@ class Mlp {
   void lerp_parameters_from(const Mlp& other, double tau);
 
   /// Flatten all parameters into a caller-sized buffer of param_count()
-  /// doubles (layer order, weights then bias per layer) — the wire format
-  /// of the parallel trainer's policy snapshot bus.
+  /// doubles (layer order, weights then bias per layer).
   void copy_flat_to(std::span<double> out) const;
-  /// Inverse of copy_flat_to(): overwrite all parameters from a flat buffer.
-  void copy_flat_from(std::span<const double> in);
 
   /// Binary (de)serialization of the full parameter set.
   void save(std::ostream& os) const;
@@ -144,10 +130,9 @@ class Mlp {
  private:
   std::vector<std::size_t> sizes_;
   std::vector<LinearLayer> layers_;
-  std::vector<Matrix> relu_masks_;  // cached per forward pass
-  std::vector<Matrix> acts_;        // acts_[i]: input of layer i; back is output
-  Matrix grad_a_, grad_b_;          // ping-pong buffers for backward()
-  Matrix eval_a_, eval_b_;          // ping-pong buffers for forward_eval()
+  std::vector<Matrix> acts_;  // acts_[i]: input of layer i; back is output
+  Matrix grad_a_, grad_b_;    // ping-pong buffers for backward()
+  Matrix eval_a_, eval_b_;    // ping-pong buffers for forward_eval()
 };
 
 /// Adam optimizer over an Mlp's parameters.

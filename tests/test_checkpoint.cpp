@@ -505,4 +505,35 @@ TEST(TrainerCheckpoint, ResumeValidatesTrainerConfig) {
     EXPECT_EQ(e.kind(), io::ErrorKind::kStateMismatch);
   }
   std::filesystem::remove(path);
+
+  // Mode 2 belonged to the retired parallel trainer: both trainers must
+  // refuse such a checkpoint with a typed mismatch.
+  const std::string retired_path = temp_path("ctj_resume_mode2.ctjs");
+  {
+    io::ContainerWriter out;
+    add_meta_chunk(out, "trainer");
+    TrainProgress progress;
+    progress.mode = 2;
+    progress.replicas = 3;
+    write_train_progress(out, progress, config);
+    out.write_file(retired_path);
+  }
+  TrainerConfig retired = config;
+  retired.checkpoint = CheckpointOptions{retired_path, 0, true};
+  try {
+    DqnScheme s(small_scheme_config());
+    CompetitionEnvironment e(small_env_config());
+    train(s, e, retired);
+    FAIL() << "expected IoError";
+  } catch (const io::IoError& e) {
+    EXPECT_EQ(e.kind(), io::ErrorKind::kStateMismatch);
+  }
+  try {
+    DqnScheme s(small_scheme_config());
+    train_batched(s, small_env_config(), retired, 3);
+    FAIL() << "expected IoError";
+  } catch (const io::IoError& e) {
+    EXPECT_EQ(e.kind(), io::ErrorKind::kStateMismatch);
+  }
+  std::filesystem::remove(retired_path);
 }

@@ -82,10 +82,10 @@ def validate(doc, errors):
             "micro record measured BM_EnvironmentStep but reports "
             "simulated_slots=0 (slot counting is broken)")
 
-    # The train and serve records scale their headline throughput with the
-    # host's core count, so a record without host_cpus cannot be compared
-    # across machines; require it where it matters instead of schema-wide so
-    # older single-threaded bench records stay valid.
+    # The serve record scales its headline throughput with the host's core
+    # count and the train record's rate depends on the host too, so a record
+    # without host_cpus cannot be compared across machines; require it where
+    # it matters instead of schema-wide so older bench records stay valid.
     if doc.get("bench") in ("train", "serve"):
         host_cpus = metrics_obj.get("host_cpus") \
             if isinstance(metrics_obj, dict) else None
