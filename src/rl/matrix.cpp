@@ -1,6 +1,5 @@
 #include "rl/matrix.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <istream>
@@ -109,45 +108,8 @@ void matmul_into(Matrix& c, const Matrix& a, const Matrix& b) {
 void matmul_at_b_acc(Matrix& c, const Matrix& a, const Matrix& b) {
   CTJ_CHECK(a.rows() == b.rows());
   CTJ_CHECK(c.rows() == a.cols() && c.cols() == b.cols());
-  const auto& kernels = kern::ops();
-  const std::size_t n = b.cols();
-  const std::size_t ac = a.cols();
-  // Sparse-row fast path: the DQN's output gradient is one-hot per sample
-  // (Huber-clipped TD error on the taken action only), so the rank-1 update
-  // from such a row touches one column of C, not n. Skipping exact-zero
-  // terms is bit-exact: each skipped contribution is ±0.0, and a C entry can
-  // never hold -0.0 (it starts at +0.0, and +0.0 + -0.0 = +0.0), so adding
-  // the zero would not have changed a single bit.
-  constexpr std::size_t kSparseCap = 8;
-  std::size_t nz_idx[kSparseCap];
-  for (std::size_t k = 0; k < a.rows(); ++k) {
-    const double* arow = a.data() + k * ac;
-    const double* brow = b.data() + k * n;
-    std::size_t nz = 0;
-    for (std::size_t j = 0; j < n && nz <= kSparseCap; ++j) {
-      if (brow[j] != 0.0) {
-        if (nz < kSparseCap) nz_idx[nz] = j;
-        ++nz;
-      }
-    }
-    if (nz == 0) continue;
-    if (nz <= kSparseCap) {
-      for (std::size_t i = 0; i < ac; ++i) {
-        const double aki = arow[i];
-        if (aki == 0.0) continue;
-        double* crow = c.data() + i * n;
-        for (std::size_t s = 0; s < nz; ++s) {
-          crow[nz_idx[s]] += aki * brow[nz_idx[s]];
-        }
-      }
-      continue;
-    }
-    for (std::size_t i = 0; i < ac; ++i) {
-      const double aki = arow[i];
-      if (aki == 0.0) continue;
-      kernels.saxpy(n, aki, brow, c.data() + i * n);
-    }
-  }
+  kern::ops().matmul_at_b_acc(c.data(), a.data(), b.data(), a.rows(),
+                              a.cols(), b.cols());
 }
 
 void matmul_at_b_into(Matrix& c, const Matrix& a, const Matrix& b) {
@@ -156,27 +118,11 @@ void matmul_at_b_into(Matrix& c, const Matrix& a, const Matrix& b) {
   matmul_at_b_acc(c, a, b);
 }
 
-void matmul_a_bt_into(Matrix& c, const Matrix& a, const Matrix& b,
-                      Matrix& bt_scratch) {
-  // A·Bᵀ as transpose-then-multiply: the dot-product form walks B's rows
-  // with a serial reduction the compiler cannot vectorize, while A·(Bᵀ)
-  // reuses the SAXPY-shaped blocked kernel (and its zero-skip, which pays
-  // off when A is a sparse gradient). Per element the k-accumulation order
-  // is unchanged, so the result matches the dot-product form bit for bit.
-  CTJ_CHECK(a.cols() == b.cols());
-  const std::size_t kk = b.cols(), n = b.rows();
-  bt_scratch.resize(kk, n);
-  double* bt = bt_scratch.data();
-  for (std::size_t j = 0; j < n; ++j) {
-    const double* brow = b.data() + j * kk;
-    for (std::size_t k = 0; k < kk; ++k) bt[k * n + j] = brow[k];
-  }
-  matmul_into(c, a, bt_scratch);
-}
-
 void matmul_a_bt_into(Matrix& c, const Matrix& a, const Matrix& b) {
-  Matrix bt_scratch;
-  matmul_a_bt_into(c, a, b, bt_scratch);
+  CTJ_CHECK(a.cols() == b.cols());
+  c.resize(a.rows(), b.rows(), 0.0);
+  kern::ops().matmul_a_bt_acc(c.data(), a.data(), b.data(), a.rows(),
+                              a.cols(), b.rows());
 }
 
 Matrix matmul(const Matrix& a, const Matrix& b) {

@@ -73,13 +73,11 @@ Matrix matmul_at_b(const Matrix& a, const Matrix& b);
 Matrix matmul_a_bt(const Matrix& a, const Matrix& b);
 
 /// Allocation-free variants: resize C (reusing its buffer) and overwrite.
+/// The transposed products (the backward hot path: a linear layer's input
+/// and weight gradients) need no caller-held transpose buffer.
 void matmul_into(Matrix& c, const Matrix& a, const Matrix& b);
 void matmul_at_b_into(Matrix& c, const Matrix& a, const Matrix& b);
 void matmul_a_bt_into(Matrix& c, const Matrix& a, const Matrix& b);
-/// A·Bᵀ with a caller-owned scratch buffer for Bᵀ (the backward hot path:
-/// no allocation once the scratch is warm).
-void matmul_a_bt_into(Matrix& c, const Matrix& a, const Matrix& b,
-                      Matrix& bt_scratch);
 
 /// C += Aᵀ·B with C already shaped [a.cols × b.cols] (gradient accumulation).
 void matmul_at_b_acc(Matrix& c, const Matrix& a, const Matrix& b);

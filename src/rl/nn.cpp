@@ -24,16 +24,18 @@ void LinearLayer::backward_params_acc(const Matrix& input,
                                       const Matrix& grad_out) {
   CTJ_CHECK(input.rows() == grad_out.rows());
   matmul_at_b_acc(gw_, input, grad_out);
-  const auto& kernels = kern::ops();
+  // Bias gradient: the column sum of grad_out, rows added in order.
   double* gbias = gb_.data();
+  const std::size_t cols = grad_out.cols();
   for (std::size_t r = 0; r < grad_out.rows(); ++r) {
-    kernels.saxpy(grad_out.cols(), 1.0,
-                  grad_out.data() + r * grad_out.cols(), gbias);
+    const double* row = grad_out.data() + r * cols;
+    for (std::size_t c = 0; c < cols; ++c) gbias[c] += row[c];
   }
 }
 
-void LinearLayer::grad_input_into(const Matrix& grad_out, Matrix& grad_in) {
-  matmul_a_bt_into(grad_in, grad_out, w_, wt_scratch_);
+void LinearLayer::grad_input_into(const Matrix& grad_out,
+                                  Matrix& grad_in) const {
+  matmul_a_bt_into(grad_in, grad_out, w_);
 }
 
 void LinearLayer::zero_grad() {
@@ -105,21 +107,23 @@ void Mlp::backward(const Matrix& grad_out) {
   CTJ_CHECK_MSG(acts_.size() == layers_.size() + 1 &&
                     acts_[0].rows() == grad_out.rows(),
                 "backward() without a matching forward()");
-  grad_a_ = grad_out;
-  Matrix* g = &grad_a_;
-  Matrix* next = &grad_b_;
+  // The output gradient is read in place; the hidden-layer gradients
+  // alternate between the two scratch buffers.
+  const Matrix* g = &grad_out;
+  Matrix* next = &grad_a_;
   for (std::size_t i = layers_.size(); i-- > 0;) {
     layers_[i].backward_params_acc(acts_[i], *g);
     if (i > 0) {
       layers_[i].grad_input_into(*g, *next);
-      std::swap(g, next);
       // ReLU derivative from the post-activation input of layer i
       // (h > 0 post-ReLU iff pre-ReLU), applied as a 1/0 factor.
       const Matrix& h = acts_[i];
-      CTJ_CHECK(h.rows() == g->rows() && h.cols() == g->cols());
-      for (std::size_t k = 0; k < g->size(); ++k) {
-        g->data()[k] *= h.data()[k] > 0.0 ? 1.0 : 0.0;
+      CTJ_CHECK(h.rows() == next->rows() && h.cols() == next->cols());
+      for (std::size_t k = 0; k < next->size(); ++k) {
+        next->data()[k] *= h.data()[k] > 0.0 ? 1.0 : 0.0;
       }
+      g = next;
+      next = next == &grad_a_ ? &grad_b_ : &grad_a_;
     }
   }
 }
@@ -312,11 +316,10 @@ void AdamOptimizer::step(Mlp& net) {
   const double bc1 = 1.0 - std::pow(config_.beta1, static_cast<double>(t_));
   const double bc2 = 1.0 - std::pow(config_.beta2, static_cast<double>(t_));
   std::size_t slot = 0;
-  const auto& kernels = kern::ops();
   auto update = [&](Matrix& param, const Matrix& grad) {
-    kernels.adam_update(param.data(), m_[slot].data(), v_[slot].data(),
-                        grad.data(), param.size(), config_.beta1,
-                        config_.beta2, config_.lr, bc1, bc2, config_.epsilon);
+    kern::adam_update(param.data(), m_[slot].data(), v_[slot].data(),
+                      grad.data(), param.size(), config_.beta1, config_.beta2,
+                      config_.lr, bc1, bc2, config_.epsilon);
     ++slot;
   };
   for (std::size_t i = 0; i < net.num_layers(); ++i) {

@@ -30,10 +30,10 @@ class LinearLayer {
   /// Backward, split in two: accumulate the parameter gradients (summed
   /// over the batch) from the layer input actually seen in forward…
   void backward_params_acc(const Matrix& input, const Matrix& grad_out);
-  /// …and propagate the input gradient without touching parameters.
-  /// Non-const: keeps a Wᵀ scratch so the product runs through the
-  /// vectorized kernel without allocating.
-  void grad_input_into(const Matrix& grad_out, Matrix& grad_in);
+  /// …and propagate the input gradient grad_out·Wᵀ without touching
+  /// parameters. A one-hot grad_out (the DQN output layer) reads only the
+  /// W columns of its nonzeros; see kern::KernelOps::matmul_a_bt_acc.
+  void grad_input_into(const Matrix& grad_out, Matrix& grad_in) const;
 
   void zero_grad();
 
@@ -54,7 +54,6 @@ class LinearLayer {
   Matrix b_;   // [1 × out]
   Matrix gw_;
   Matrix gb_;
-  Matrix wt_scratch_;  // Wᵀ buffer for grad_input_into()
 };
 
 /// Multi-layer perceptron with ReLU activations between affine layers.

@@ -6,11 +6,13 @@
 
 #include <cmath>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "common/kernels.hpp"
 #include "common/math_util.hpp"
 #include "common/rng.hpp"
+#include "rl/matrix.hpp"
 #include "rl/nn.hpp"
 
 namespace ctj {
@@ -141,6 +143,123 @@ TEST(KernelParity, MatmulSkipsExactZeros) {
     simd->matmul_acc(c_simd.data(), a.data(), b.data(), m, k, n);
     for (std::size_t i = 0; i < c_ref.size(); ++i) {
       EXPECT_EQ(c_ref[i], c_simd[i]);
+    }
+  }
+}
+
+// The backward products at every level (scalar included) against
+// rl::matmul_a_bt / rl::matmul_at_b and against the explicit
+// transpose-then-multiply on the scalar level, on the gradients the DQN
+// feeds them: the one-hot TD gradient of the output layer, ReLU-sparse and
+// dense hidden-layer gradients, rows sparse enough for the sparse path but
+// with several nonzeros each, and a one-hot matrix with one dense row (which
+// sends the whole product down the dense path).
+TEST(KernelParity, BackwardProductsUlpBounded) {
+  std::vector<const KernelOps*> levels = {&kern::scalar_ops()};
+  for (const KernelOps* simd : simd_levels()) levels.push_back(simd);
+  enum class Grad { kOneHot, kReluSparse, kDense, kFewNonzeros, kOneDenseRow };
+  const struct {
+    const char* name;
+    Grad kind;
+    std::size_t in, out;
+  } cases[] = {
+      {"one-hot", Grad::kOneHot, 45, 160},
+      {"relu-sparse", Grad::kReluSparse, 45, 45},
+      {"dense", Grad::kDense, 24, 45},
+      {"few-nonzeros", Grad::kFewNonzeros, 45, 45},
+      {"one-dense-row", Grad::kOneDenseRow, 45, 160},
+  };
+  constexpr std::size_t kBatch = 32;
+  const auto transposed = [](const rl::Matrix& x) {
+    rl::Matrix t(x.cols(), x.rows());
+    for (std::size_t r = 0; r < x.rows(); ++r) {
+      for (std::size_t c = 0; c < x.cols(); ++c) t.at(c, r) = x.at(r, c);
+    }
+    return t;
+  };
+  const auto explicit_product = [](const rl::Matrix& a, const rl::Matrix& b) {
+    rl::Matrix c(a.rows(), b.cols());
+    kern::scalar_ops().matmul_acc(c.data(), a.data(), b.data(), a.rows(),
+                                  a.cols(), b.cols());
+    return c;
+  };
+  // Condition-aware bound (as in MatmulUlpBounded): |Δ| ≤ 1e-13·(Σ|a·b| + 1).
+  const auto expect_close = [](const std::vector<double>& got,
+                               const rl::Matrix& want, const rl::Matrix& abs_sum,
+                               const std::string& what) {
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_LE(std::abs(got[i] - want.data()[i]),
+                1e-13 * (abs_sum.data()[i] + 1.0))
+          << what << " elem " << i << ": " << got[i] << " vs "
+          << want.data()[i];
+    }
+  };
+  const auto abs_of = [](rl::Matrix x) {
+    for (std::size_t i = 0; i < x.size(); ++i) x.data()[i] = std::abs(x.data()[i]);
+    return x;
+  };
+  for (const auto& tc : cases) {
+    Rng rng(19);
+    rl::Matrix g(kBatch, tc.out);
+    for (std::size_t r = 0; r < kBatch; ++r) {
+      for (std::size_t c = 0; c < tc.out; ++c) {
+        bool nonzero = false;
+        switch (tc.kind) {
+          case Grad::kOneHot:
+          case Grad::kOneDenseRow:
+            nonzero = tc.kind == Grad::kOneDenseRow && r == 7;
+            break;
+          case Grad::kReluSparse:
+            nonzero = rng.uniform() < 0.5;
+            break;
+          case Grad::kDense:
+            nonzero = true;
+            break;
+          case Grad::kFewNonzeros:
+            nonzero = c % 16 == r % 16;
+            break;
+        }
+        if (nonzero) g.at(r, c) = rng.normal();
+      }
+      if (tc.kind == Grad::kOneHot || tc.kind == Grad::kOneDenseRow) {
+        g.at(r, rng.index(tc.out)) = rng.normal();
+      }
+    }
+    rl::Matrix w(tc.in, tc.out);
+    for (std::size_t i = 0; i < w.size(); ++i) w.data()[i] = rng.normal();
+    rl::Matrix x(kBatch, tc.in);  // layer input: ReLU activations
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      x.data()[i] = rng.uniform() < 0.5 ? 0.0 : std::abs(rng.normal());
+    }
+
+    const rl::Matrix grad_in = rl::matmul_a_bt(g, w);
+    const rl::Matrix grad_in_explicit = explicit_product(g, transposed(w));
+    const rl::Matrix grad_in_abs =
+        explicit_product(abs_of(g), transposed(abs_of(w)));
+    const rl::Matrix grad_w = rl::matmul_at_b(x, g);
+    const rl::Matrix grad_w_explicit = explicit_product(transposed(x), g);
+    const rl::Matrix grad_w_abs =
+        explicit_product(transposed(abs_of(x)), abs_of(g));
+    for (const KernelOps* level : levels) {
+      const std::string what = std::string(tc.name) + " @" + level->name;
+      std::vector<double> c_in(kBatch * tc.in, 0.0);
+      level->matmul_a_bt_acc(c_in.data(), g.data(), w.data(), kBatch, tc.out,
+                             tc.in);
+      expect_close(c_in, grad_in, grad_in_abs, what + " input grad");
+      expect_close(c_in, grad_in_explicit, grad_in_abs,
+                   what + " input grad (explicit)");
+      if (tc.kind == Grad::kOneHot) {
+        // One term per element: a single rounding at every level.
+        for (std::size_t i = 0; i < c_in.size(); ++i) {
+          EXPECT_EQ(c_in[i], grad_in_explicit.data()[i]) << what << " " << i;
+        }
+      }
+      std::vector<double> c_w(tc.in * tc.out, 0.0);
+      level->matmul_at_b_acc(c_w.data(), x.data(), g.data(), kBatch, tc.in,
+                             tc.out);
+      expect_close(c_w, grad_w, grad_w_abs, what + " weight grad");
+      expect_close(c_w, grad_w_explicit, grad_w_abs,
+                   what + " weight grad (explicit)");
     }
   }
 }
@@ -312,33 +431,6 @@ TEST_P(TdHuberTest, MatchesReferenceAndAvx2BitExact) {
 }
 
 INSTANTIATE_TEST_SUITE_P(VanillaAndDouble, TdHuberTest, ::testing::Bool());
-
-TEST(KernelParity, AdamUpdateBitExact) {
-  REQUIRE_SIMD(levels);
-  for (const KernelOps* simd : levels) {
-    SCOPED_TRACE(simd->name);
-    Rng rng(17);
-    for (std::size_t n : {1u, 3u, 4u, 45u, 1080u, 7200u + 3u}) {
-      auto p_ref = random_vec(n, rng);
-      auto m_ref = random_vec(n, rng);
-      auto v_ref = random_vec(n, rng);
-      for (double& x : v_ref) x = std::abs(x);  // second moments are >= 0
-      const auto g = random_vec(n, rng);
-      auto p_simd = p_ref, m_simd = m_ref, v_simd = v_ref;
-      const double beta1 = 0.9, beta2 = 0.999, lr = 1e-3, eps = 1e-8;
-      const double bc1 = 1.0 - std::pow(beta1, 7.0);
-      const double bc2 = 1.0 - std::pow(beta2, 7.0);
-      kern::scalar_ops().adam_update(p_ref.data(), m_ref.data(), v_ref.data(),
-                                     g.data(), n, beta1, beta2, lr, bc1, bc2,
-                                     eps);
-      simd->adam_update(p_simd.data(), m_simd.data(), v_simd.data(), g.data(),
-                        n, beta1, beta2, lr, bc1, bc2, eps);
-      EXPECT_EQ(p_ref, p_simd) << "n=" << n;
-      EXPECT_EQ(m_ref, m_simd) << "n=" << n;
-      EXPECT_EQ(v_ref, v_simd) << "n=" << n;
-    }
-  }
-}
 
 }  // namespace
 }  // namespace ctj

@@ -3,12 +3,15 @@
 // agent (including the Fig. 4 architecture's parameter footprint).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <filesystem>
 #include <set>
 #include <sstream>
+#include <vector>
 
 #include "common/rng.hpp"
+#include "io/bytes.hpp"
 #include "rl/dqn.hpp"
 #include "rl/matrix.hpp"
 #include "rl/nn.hpp"
@@ -378,6 +381,148 @@ TEST(Mlp, SaveLoadRoundTrip) {
   for (std::size_t i = 0; i < ya.size(); ++i) {
     EXPECT_DOUBLE_EQ(ya.data()[i], yb.data()[i]);
   }
+}
+
+TEST(Mlp, GradientCheckOneHotTdRows) {
+  // A DQN-shaped loss: each row's TD error on its one taken action,
+  // L = Σ_r ½(Q(s_r, a_r) − y_r)², so dL/dQ is one-hot per row. The output
+  // layer's input and weight gradients then take the sparse paths, while
+  // the hidden layers (wider than kern::kSparseRowCap) stay dense.
+  Rng rng(21);
+  Mlp net({6, 16, 12, 10}, rng);
+  const std::size_t batch = 5;
+  Matrix x(batch, 6);
+  Rng data_rng(22);
+  for (std::size_t i = 0; i < x.size(); ++i) x.data()[i] = data_rng.normal();
+  std::vector<std::size_t> actions(batch);
+  std::vector<double> targets(batch);
+  for (std::size_t r = 0; r < batch; ++r) {
+    actions[r] = data_rng.index(10);
+    targets[r] = data_rng.normal();
+  }
+  auto loss = [&](Mlp& n) {
+    const Matrix q = n.forward_const(x);
+    double l = 0.0;
+    for (std::size_t r = 0; r < batch; ++r) {
+      const double e = q.at(r, actions[r]) - targets[r];
+      l += 0.5 * e * e;
+    }
+    return l;
+  };
+
+  const Matrix q = net.forward(x);
+  Matrix grad(batch, 10);
+  for (std::size_t r = 0; r < batch; ++r) {
+    grad.at(r, actions[r]) = q.at(r, actions[r]) - targets[r];
+  }
+  net.zero_grad();
+  net.backward(grad);
+
+  const double eps = 1e-6;
+  auto check = [&](Matrix& param, const Matrix& analytic, const char* what,
+                   std::size_t layer) {
+    for (std::size_t k = 0; k < param.size(); ++k) {
+      const double orig = param.data()[k];
+      param.data()[k] = orig + eps;
+      const double lp = loss(net);
+      param.data()[k] = orig - eps;
+      const double lm = loss(net);
+      param.data()[k] = orig;
+      const double numeric = (lp - lm) / (2.0 * eps);
+      EXPECT_NEAR(analytic.data()[k], numeric, 1e-4 * (1.0 + std::abs(numeric)))
+          << "layer " << layer << " " << what << " " << k;
+    }
+  };
+  for (std::size_t layer = 0; layer < net.num_layers(); ++layer) {
+    check(net.layer(layer).weights(), net.layer(layer).weight_grad(), "weight",
+          layer);
+    check(net.layer(layer).bias(), net.layer(layer).bias_grad(), "bias",
+          layer);
+  }
+}
+
+namespace {
+
+// a·b rounded on its own: the volatile store keeps the compiler from
+// contracting the product into a following add (FMA), so the reference
+// below performs exactly the roundings of kern::adam_update.
+double mul(double a, double b) {
+  volatile double r = a * b;
+  return r;
+}
+
+// The fused Adam update of kern::adam_update without the subnormal flush.
+void adam_reference(std::vector<double>& p, std::vector<double>& m,
+                    std::vector<double>& v, const std::vector<double>& g,
+                    const AdamOptimizer::Config& c, std::size_t t) {
+  const double bc1 = 1.0 - std::pow(c.beta1, static_cast<double>(t));
+  const double bc2 = 1.0 - std::pow(c.beta2, static_cast<double>(t));
+  const double step = c.lr / bc1;
+  const double inv_sqrt_bc2 = 1.0 / std::sqrt(bc2);
+  for (std::size_t k = 0; k < p.size(); ++k) {
+    m[k] = mul(c.beta1, m[k]) + mul(1.0 - c.beta1, g[k]);
+    v[k] = mul(c.beta2, v[k]) + mul(mul(1.0 - c.beta2, g[k]), g[k]);
+    p[k] -= mul(step, m[k]) / (mul(std::sqrt(v[k]), inv_sqrt_bc2) + c.epsilon);
+  }
+}
+
+void set_grads(Mlp& net, double value) {
+  for (std::size_t i = 0; i < net.num_layers(); ++i) {
+    net.layer(i).weight_grad().fill(value);
+    net.layer(i).bias_grad().fill(value);
+  }
+}
+
+}  // namespace
+
+TEST(AdamOptimizer, IdleMomentsFlushToZeroWithoutMovingWeights) {
+  // One real gradient, then 8 000 zero-gradient steps — a dead ReLU unit's
+  // history. Without the flush the first moments decay into subnormals and
+  // stick there (0.9·k·2⁻¹⁰⁷⁴ rounds back to k·2⁻¹⁰⁷⁴ for small k).
+  Rng rng(31);
+  Mlp net({3, 4, 2}, rng);
+  const AdamOptimizer::Config config;
+  AdamOptimizer adam(net, config);
+  const std::size_t n = net.param_count();
+  std::vector<double> p(n), m(n, 0.0), v(n, 0.0);
+  net.copy_flat_to(p);
+  std::vector<double> g(n, 0.25);
+  set_grads(net, 0.25);
+  adam.step(net);
+  adam_reference(p, m, v, g, config, 1);
+  std::fill(g.begin(), g.end(), 0.0);
+  set_grads(net, 0.0);
+  for (std::size_t t = 2; t <= 8001; ++t) {
+    adam.step(net);
+    adam_reference(p, m, v, g, config, t);
+  }
+
+  // The unflushed reference really is in the stuck state…
+  std::size_t stuck = 0;
+  for (double x : m) stuck += std::fpclassify(x) == FP_SUBNORMAL;
+  EXPECT_EQ(stuck, n);
+  // …while every saved moment is +0 or normal…
+  io::ByteWriter out;
+  adam.save_state(out);
+  io::ByteReader in(out.buffer());
+  const AdamOptimizer::State state = AdamOptimizer::decode_state(in);
+  EXPECT_EQ(state.step_count, 8001u);
+  for (const io::NamedTensor& tensor : state.moments) {
+    for (double x : tensor.data) {
+      const int cls = std::fpclassify(x);
+      EXPECT_TRUE(cls == FP_NORMAL || (cls == FP_ZERO && !std::signbit(x)))
+          << tensor.name << " holds " << x;
+    }
+  }
+  // …and the weights kept every bit of the unflushed update.
+  std::vector<double> weights(n);
+  net.copy_flat_to(weights);
+  EXPECT_EQ(weights, p);
+
+  // A diverging learner stays visible: a NaN gradient yields a NaN weight.
+  net.layer(0).weight_grad().data()[0] = std::nan("");
+  adam.step(net);
+  EXPECT_TRUE(std::isnan(net.layer(0).weights().data()[0]));
 }
 
 TEST(Mlp, HuberGradClamps) {

@@ -14,6 +14,7 @@ import numbers
 import sys
 
 SIMD_LEVELS = {"scalar", "avx2", "avx512"}
+ADAM_SUBNORMAL_RATIO_MAX = 1.5
 
 
 def _is_number(value):
@@ -81,6 +82,21 @@ def validate(doc, errors):
         errors.append(
             "micro record measured BM_EnvironmentStep but reports "
             "simulated_slots=0 (slot counting is broken)")
+
+    # Same-run ratio of an Adam update over a state with stuck subnormal
+    # first moments to one over a normal state (bench_micro). The update
+    # flushes such moments to zero, so the two cost the same; a ratio well
+    # above 1 means subnormal arithmetic is back in the learner step (an
+    # unflushed update measured 3.4-4.0x). Both sides run in the same
+    # process, so the bound holds on any host.
+    ratio = metrics_obj.get("adam_subnormal_ratio") \
+        if isinstance(metrics_obj, dict) else None
+    if doc.get("bench") == "micro" and ratio is not None:
+        if not (_is_number(ratio) and 0 < ratio <= ADAM_SUBNORMAL_RATIO_MAX):
+            errors.append(
+                f"micro record's adam_subnormal_ratio is {ratio!r}, above "
+                f"{ADAM_SUBNORMAL_RATIO_MAX} (or not a positive number): "
+                "stuck subnormal Adam moments slow the update")
 
     # The serve record scales its headline throughput with the host's core
     # count and the train record's rate depends on the host too, so a record
