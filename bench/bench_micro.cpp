@@ -508,9 +508,7 @@ void register_kernel_benches() {
     rewards[i] = rng.uniform() < 0.5 ? -10.0 : 1.0;
   }
   std::vector<double> bias(kActions);
-  std::vector<double> saxpy_x(kActions);
   for (auto& v : bias) v = rng.normal();
-  for (auto& v : saxpy_x) v = rng.normal();
 
   // PHY kernel shapes: one 64-state ACS trellis step (hard and soft) and one
   // 480-point Eq. (1) evaluation (an EmuBee packet's worth of targets).
@@ -542,16 +540,6 @@ void register_kernel_benches() {
             ops->matmul_acc(c.data(), a.data(), b.data(), a.rows(), a.cols(),
                             b.cols());
             benchmark::DoNotOptimize(c.data());
-          }
-        });
-
-    benchmark::RegisterBenchmark(
-        ("BM_KernSaxpy" + suffix).c_str(),
-        [ops, saxpy_x](benchmark::State& state) {
-          std::vector<double> y(saxpy_x.size(), 0.25);
-          for (auto _ : state) {
-            ops->saxpy(y.size(), 0.125, saxpy_x.data(), y.data());
-            benchmark::DoNotOptimize(y.data());
           }
         });
 
@@ -690,7 +678,6 @@ void write_report(bench::BenchReport& report,
     const char* simd_name;
   } kSpeedups[] = {
       {"speedup_matmul_avx2", "BM_KernMatmul_scalar", "BM_KernMatmul_avx2"},
-      {"speedup_saxpy_avx2", "BM_KernSaxpy_scalar", "BM_KernSaxpy_avx2"},
       {"speedup_bias_relu_avx2", "BM_KernBiasRelu_scalar",
        "BM_KernBiasRelu_avx2"},
       {"speedup_row_max_avx2", "BM_KernRowMax_scalar", "BM_KernRowMax_avx2"},
@@ -698,7 +685,6 @@ void write_report(bench::BenchReport& report,
        "BM_KernTdHuberBatch_avx2"},
       {"speedup_matmul_avx512", "BM_KernMatmul_scalar",
        "BM_KernMatmul_avx512"},
-      {"speedup_saxpy_avx512", "BM_KernSaxpy_scalar", "BM_KernSaxpy_avx512"},
       {"speedup_viterbi_acs_hard_avx2", "BM_KernViterbiAcsHard_scalar",
        "BM_KernViterbiAcsHard_avx2"},
       {"speedup_viterbi_acs_hard_avx512", "BM_KernViterbiAcsHard_scalar",

@@ -48,10 +48,6 @@ void matmul_acc_scalar(double* c, const double* a, const double* b,
   }
 }
 
-void saxpy_scalar(std::size_t n, double a, const double* x, double* y) {
-  for (std::size_t j = 0; j < n; ++j) y[j] += a * x[j];
-}
-
 void bias_act_scalar(double* y, const double* bias, std::size_t rows,
                      std::size_t cols, bool relu) {
   for (std::size_t r = 0; r < rows; ++r) {
@@ -150,7 +146,6 @@ const KernelOps& scalar_ops() {
       matmul_acc_scalar,
       detail::matmul_a_bt_acc<matmul_acc_scalar>,
       detail::matmul_at_b_acc<matmul_acc_scalar>,
-      saxpy_scalar,
       bias_act_scalar,
       row_max_scalar,
       row_argmax_scalar,

@@ -76,9 +76,6 @@ struct KernelOps {
   void (*matmul_at_b_acc)(double* c, const double* a, const double* b,
                           std::size_t m, std::size_t k, std::size_t n);
 
-  /// y += a·x over n doubles.
-  void (*saxpy)(std::size_t n, double a, const double* x, double* y);
-
   /// Row-broadcast bias add, optionally fused with ReLU:
   /// y[r][c] += bias[c], then y = max(y, 0) when relu is set.
   void (*bias_act)(double* y, const double* bias, std::size_t rows,
@@ -135,8 +132,9 @@ const KernelOps& scalar_ops();
 /// architecture or the compiler cannot emit AVX2.
 const KernelOps* avx2_ops();
 
-/// The AVX-512 kernels (matmul/saxpy widened to 512 bits, the rest shared
-/// with the AVX2 table), or nullptr when unavailable at build time.
+/// The AVX-512 kernels (matmul and the PHY kernels widened to 512 bits, the
+/// rest shared with the AVX2 table), or nullptr when unavailable at build
+/// time.
 const KernelOps* avx512_ops();
 
 /// True when the CPU this process runs on supports AVX2 and FMA.

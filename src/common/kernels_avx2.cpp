@@ -3,7 +3,7 @@
 // (-DCTJ_NATIVE=OFF) binary carries these paths; kern::ops() only selects
 // them when CPUID reports AVX2+FMA at run time.
 //
-// Numerics: the matmul/saxpy kernels contract multiply-add into FMA (one
+// Numerics: the matmul kernels contract multiply-add into FMA (one
 // rounding instead of two) while keeping the scalar k-accumulation order, so
 // they are ULP-close but not bit-identical to the scalar reference. The
 // max/argmax reductions and bias_act contain no FMA (max is
@@ -139,25 +139,6 @@ void matmul_acc_avx2(double* c, const double* a, const double* b,
       }
     }
   }
-}
-
-void saxpy_avx2(std::size_t n, double a, const double* x, double* y) {
-  const __m256d va = _mm256_set1_pd(a);
-  std::size_t j = 0;
-  for (; j + 8 <= n; j += 8) {
-    _mm256_storeu_pd(
-        y + j, _mm256_fmadd_pd(va, _mm256_loadu_pd(x + j),
-                               _mm256_loadu_pd(y + j)));
-    _mm256_storeu_pd(
-        y + j + 4, _mm256_fmadd_pd(va, _mm256_loadu_pd(x + j + 4),
-                                   _mm256_loadu_pd(y + j + 4)));
-  }
-  for (; j + 4 <= n; j += 4) {
-    _mm256_storeu_pd(
-        y + j, _mm256_fmadd_pd(va, _mm256_loadu_pd(x + j),
-                               _mm256_loadu_pd(y + j)));
-  }
-  for (; j < n; ++j) y[j] = __builtin_fma(a, x[j], y[j]);
 }
 
 // Single-pass fused bias + ReLU (the scalar reference makes two passes, as
@@ -362,7 +343,6 @@ const KernelOps* avx2_ops() {
       matmul_acc_avx2,
       detail::matmul_a_bt_acc<matmul_acc_avx2>,
       detail::matmul_at_b_acc<matmul_acc_avx2>,
-      saxpy_avx2,
       bias_act_avx2,
       row_max_avx2,
       row_argmax_avx2,

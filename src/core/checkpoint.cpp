@@ -49,9 +49,7 @@ void write_train_progress(io::ContainerWriter& out,
   w.u64(config.reward_window);
   w.u8(config.target_mean_reward ? 1 : 0);
   w.f64(config.target_mean_reward.value_or(0.0));
-  w.f64(progress.window_sum);
-  w.u64(progress.window.size());
-  for (double r : progress.window) w.f64(r);
+  progress.window.encode(w);
   out.add_chunk(io::tags::kTrainProgress, w.take());
 }
 
@@ -77,13 +75,9 @@ TrainProgress read_train_progress(const io::ContainerReader& in,
       (has_target && target != *config.target_mean_reward)) {
     throw mismatch("target_mean_reward");
   }
-  progress.window_sum = r.f64();
-  const std::uint64_t count = r.u64();
-  if (count > config.reward_window) {
-    throw io::IoError(io::ErrorKind::kBadPayload,
-                      "reward window longer than reward_window");
-  }
-  for (std::uint64_t i = 0; i < count; ++i) progress.window.push_back(r.f64());
+  progress.window =
+      RewardWindow::decode(r, config.reward_window, config.reward_window,
+                           io::ErrorKind::kBadPayload);
   r.expect_end();
   return progress;
 }

@@ -9,10 +9,10 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <string>
 
 #include "core/rl_fh.hpp"
+#include "core/rollout.hpp"
 #include "core/trainer.hpp"
 #include "io/container.hpp"
 #include "jammer/registry.hpp"
@@ -52,12 +52,7 @@ struct TrainProgress {
   std::uint64_t replicas = 1;
   std::uint64_t slots_trained = 0;
   bool early_stopped = false;
-  // The sliding window and its running sum. The sum is serialized as the
-  // raw double (not recomputed on load): the incremental add/sub stream
-  // differs from a fresh summation in floating point, and bit-identical
-  // resume requires the exact value the uninterrupted run would carry.
-  double window_sum = 0.0;
-  std::deque<double> window;
+  RewardWindow window;
 };
 
 /// Append the TRAINPRG chunk (progress + the config fields a resume must
@@ -68,7 +63,8 @@ void write_train_progress(io::ContainerWriter& out,
 
 /// Decode and validate the TRAINPRG chunk: mode, replica count,
 /// reward_window and target_mean_reward must all match (io::IoError
-/// kStateMismatch otherwise).
+/// kStateMismatch otherwise); a window longer than reward_window is a
+/// kBadPayload.
 TrainProgress read_train_progress(const io::ContainerReader& in,
                                   std::uint8_t mode, std::uint64_t replicas,
                                   const TrainerConfig& config);

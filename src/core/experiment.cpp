@@ -1,27 +1,31 @@
 #include "core/experiment.hpp"
 
 #include "common/check.hpp"
-#include "core/vector_env.hpp"
+#include "core/rollout.hpp"
 
 namespace ctj::core {
+
+PlayedSlot play_slot(AntiJammingScheme& scheme, CompetitionEnvironment& env) {
+  PlayedSlot slot;
+  slot.decision = scheme.decide();
+  slot.step = env.step(slot.decision.channel, slot.decision.power_index);
+  SlotFeedback feedback;
+  feedback.success = slot.step.success;
+  feedback.jammed = slot.step.outcome != SlotOutcome::kClear;
+  feedback.channel = slot.step.channel;
+  feedback.power_index = slot.decision.power_index;
+  feedback.reward = slot.step.reward;
+  scheme.feedback(feedback);
+  return slot;
+}
 
 MetricsReport evaluate(AntiJammingScheme& scheme, CompetitionEnvironment& env,
                        std::size_t slots) {
   CTJ_CHECK(slots > 0);
   MetricsAccumulator metrics;
   for (std::size_t slot = 0; slot < slots; ++slot) {
-    const SchemeDecision decision = scheme.decide();
-    const EnvStep step = env.step(decision.channel, decision.power_index);
-
-    SlotFeedback feedback;
-    feedback.success = step.success;
-    feedback.jammed = step.outcome != SlotOutcome::kClear;
-    feedback.channel = step.channel;
-    feedback.power_index = decision.power_index;
-    feedback.reward = step.reward;
-    scheme.feedback(feedback);
-
-    metrics.record(step, decision.power_index);
+    const PlayedSlot played = play_slot(scheme, env);
+    metrics.record(played.step, played.decision.power_index);
   }
   return metrics.report();
 }
@@ -33,16 +37,11 @@ MetricsReport evaluate_batched(const DqnScheme& scheme,
   CTJ_CHECK(slots_per_replica > 0);
   CTJ_CHECK_MSG(!scheme.training(),
                 "evaluate_batched expects a frozen (deployed) policy");
-  const DqnScheme::Config& sc = scheme.config();
   const rl::DqnAgent& agent = scheme.agent();
   const std::size_t num_actions = agent.config().num_actions;
-  const std::size_t pl = sc.num_power_levels;
-
-  VectorEnv venv(env_config, replicas);
-  ObservationWindows windows(replicas, sc.history, sc.num_channels, pl);
-  std::vector<std::size_t> actions(replicas);
-  std::vector<int> channels(replicas);
-  std::vector<std::size_t> powers(replicas);
+  Rollout rollout(scheme.config(), env_config, replicas);
+  const VectorEnv& venv = rollout.env();
+  const std::span<std::size_t> actions = rollout.actions();
   // Deployed ε-greedy for the batch: one stream for all replicas, seeded
   // from the evaluation environment (not the scheme's deploy RNG, which
   // stays untouched — the scheme is const here).
@@ -51,20 +50,17 @@ MetricsReport evaluate_batched(const DqnScheme& scheme,
 
   MetricsAccumulator metrics;
   for (std::size_t slot = 0; slot < slots_per_replica; ++slot) {
-    agent.act_greedy_batch(windows.states(), actions);
+    agent.act_greedy_batch(rollout.states(), actions);
     for (std::size_t r = 0; r < replicas; ++r) {
       if (eps > 0.0 && explore_rng.bernoulli(eps)) {
         actions[r] = explore_rng.index(num_actions);
       }
-      channels[r] = static_cast<int>(actions[r] / pl);
-      powers[r] = actions[r] % pl;
     }
-    venv.step(channels, powers);
+    rollout.step();
     for (std::size_t r = 0; r < replicas; ++r) {
-      const bool success = venv.successes()[r] != 0;
-      windows.push(r, success, venv.channels()[r], powers[r]);
-      metrics.record(success, venv.hopped()[r] != 0, powers[r] > 0,
-                     venv.rewards()[r]);
+      rollout.push(r);
+      metrics.record(venv.successes()[r] != 0, venv.hopped()[r] != 0,
+                     rollout.power(r) > 0, venv.rewards()[r]);
     }
   }
   return metrics.report();

@@ -13,6 +13,14 @@
 
 namespace ctj::core {
 
+/// One slot of the hub's loop: the scheme decides, the environment steps,
+/// and the outcome is fed back to the scheme.
+struct PlayedSlot {
+  SchemeDecision decision;
+  EnvStep step;
+};
+PlayedSlot play_slot(AntiJammingScheme& scheme, CompetitionEnvironment& env);
+
 /// Run `slots` evaluation slots of an already-configured scheme.
 MetricsReport evaluate(AntiJammingScheme& scheme, CompetitionEnvironment& env,
                        std::size_t slots);

@@ -1,6 +1,7 @@
 #include "core/qlearning_scheme.hpp"
 
 #include "common/check.hpp"
+#include "core/vector_env.hpp"
 
 namespace ctj::core {
 namespace {
@@ -33,33 +34,21 @@ QLearningScheme::QLearningScheme(const Config& config)
 }
 
 void QLearningScheme::reset() {
-  history_.assign(config_.history, SlotRecord{});
+  window_.assign(3 * config_.history, 0.0);
   has_pending_ = false;
 }
 
-std::vector<double> QLearningScheme::observation() const {
-  std::vector<double> obs;
-  obs.reserve(3 * config_.history);
-  for (const auto& rec : history_) {
-    obs.push_back(rec.success);
-    obs.push_back(rec.channel);
-    obs.push_back(rec.power);
-  }
-  return obs;
-}
-
 SchemeDecision QLearningScheme::decide() {
-  const std::vector<double> obs = observation();
   std::size_t action;
   if (training_) {
-    action = agent_.act(obs);
+    action = agent_.act(window_);
   } else if (config_.deploy_epsilon > 0.0 &&
              deploy_rng_.bernoulli(config_.deploy_epsilon)) {
     action = deploy_rng_.index(agent_.config().num_actions);
   } else {
-    action = agent_.act_greedy(obs);
+    action = agent_.act_greedy(window_);
   }
-  pending_state_ = obs;
+  pending_state_ = window_;
   pending_action_ = action;
   has_pending_ = true;
   SchemeDecision decision;
@@ -83,12 +72,8 @@ void QLearningScheme::save_state(io::ByteWriter& out) const {
 
   out.u8(training_ ? 1 : 0);
   out.str(deploy_rng_.serialize_state());
-  out.u64(history_.size());
-  for (const SlotRecord& rec : history_) {
-    out.f64(rec.success);
-    out.f64(rec.channel);
-    out.f64(rec.power);
-  }
+  out.u64(config_.history);
+  for (double v : window_) out.f64(v);
   out.u8(has_pending_ ? 1 : 0);
   out.f64_vec(pending_state_);
   out.u64(pending_action_);
@@ -135,14 +120,8 @@ void QLearningScheme::load_state(io::ByteReader& in) {
                           " records, scheme history is " +
                           std::to_string(config_.history));
   }
-  std::deque<SlotRecord> history;
-  for (std::uint64_t i = 0; i < records; ++i) {
-    SlotRecord rec;
-    rec.success = in.f64();
-    rec.channel = in.f64();
-    rec.power = in.f64();
-    history.push_back(rec);
-  }
+  std::vector<double> window(3 * config_.history);
+  for (double& v : window) v = in.f64();
   const bool has_pending = in.u8() != 0;
   std::vector<double> pending_state = in.f64_vec();
   const std::uint64_t pending_action = in.u64();
@@ -160,29 +139,18 @@ void QLearningScheme::load_state(io::ByteReader& in) {
   agent_.load_state(in);
   training_ = training;
   deploy_rng_ = deploy_rng;
-  history_ = std::move(history);
+  window_ = std::move(window);
   pending_state_ = std::move(pending_state);
   pending_action_ = static_cast<std::size_t>(pending_action);
   has_pending_ = has_pending;
 }
 
 void QLearningScheme::feedback(const SlotFeedback& feedback) {
-  history_.pop_front();
-  SlotRecord rec;
-  rec.success = feedback.success ? 1.0 : 0.0;
-  rec.channel = config_.num_channels <= 1
-                    ? 0.0
-                    : static_cast<double>(feedback.channel) /
-                          static_cast<double>(config_.num_channels - 1);
-  rec.power = config_.num_power_levels <= 1
-                  ? 0.0
-                  : static_cast<double>(feedback.power_index) /
-                        static_cast<double>(config_.num_power_levels - 1);
-  history_.push_back(rec);
-
+  slide_window(window_, feedback.success, feedback.channel,
+               feedback.power_index, config_.num_channels,
+               config_.num_power_levels);
   if (has_pending_ && training_) {
-    agent_.update(pending_state_, pending_action_, feedback.reward,
-                  observation());
+    agent_.update(pending_state_, pending_action_, feedback.reward, window_);
   }
   has_pending_ = false;
 }

@@ -5,7 +5,7 @@
 // high-dimensionality" the paper cites.
 #pragma once
 
-#include <deque>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "core/scheme.hpp"
@@ -49,19 +49,11 @@ class QLearningScheme : public AntiJammingScheme {
   void load_state(io::ByteReader& in);
 
  private:
-  struct SlotRecord {
-    double success = 0.0;
-    double channel = 0.0;
-    double power = 0.0;
-  };
-
-  std::vector<double> observation() const;
-
   Config config_;
   rl::QLearningAgent agent_;
   Rng deploy_rng_;
   bool training_ = true;
-  std::deque<SlotRecord> history_;
+  std::vector<double> window_;  // 3×I, oldest slot first (slide_window)
   std::vector<double> pending_state_;
   std::size_t pending_action_ = 0;
   bool has_pending_ = false;

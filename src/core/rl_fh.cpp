@@ -1,6 +1,7 @@
 #include "core/rl_fh.hpp"
 
 #include "common/check.hpp"
+#include "core/vector_env.hpp"
 
 namespace ctj::core {
 
@@ -40,35 +41,25 @@ void DqnScheme::set_deploy_epsilon(double epsilon) {
 }
 
 void DqnScheme::reset() {
-  history_.assign(config_.history, SlotRecord{});
+  window_.assign(3 * config_.history, 0.0);
   has_pending_ = false;
 }
 
-std::vector<double> DqnScheme::observation() const {
-  std::vector<double> obs;
-  obs.reserve(3 * config_.history);
-  for (const auto& rec : history_) {
-    obs.push_back(rec.success);
-    obs.push_back(rec.channel);
-    obs.push_back(rec.power);
-  }
-  return obs;
-}
+std::vector<double> DqnScheme::observation() const { return window_; }
 
 SchemeDecision DqnScheme::decide() {
-  const std::vector<double> obs = observation();
   std::size_t action;
   if (training_) {
-    action = agent_.act(obs);
+    action = agent_.act(window_);
   } else if (config_.deploy_epsilon > 0.0 &&
              deploy_rng_.bernoulli(config_.deploy_epsilon)) {
     // Deployed ε-greedy (Sec. III.C): occasional random action keeps the
     // channel pattern unpredictable to the sweeping jammer.
     action = deploy_rng_.index(agent_.config().num_actions);
   } else {
-    action = agent_.act_greedy(obs);
+    action = agent_.act_greedy(window_);
   }
-  pending_state_ = obs;
+  pending_state_ = window_;
   pending_action_ = action;
   has_pending_ = true;
   SchemeDecision decision;
@@ -100,12 +91,8 @@ void DqnScheme::save_state(io::ContainerWriter& out) const {
   io::ByteWriter state;
   state.u8(training_ ? 1 : 0);
   state.str(deploy_rng_.serialize_state());
-  state.u64(history_.size());
-  for (const SlotRecord& rec : history_) {
-    state.f64(rec.success);
-    state.f64(rec.channel);
-    state.f64(rec.power);
-  }
+  state.u64(config_.history);
+  for (double v : window_) state.f64(v);
   state.u8(has_pending_ ? 1 : 0);
   state.f64_vec(pending_state_);
   state.u64(pending_action_);
@@ -183,14 +170,8 @@ void DqnScheme::load_state(const io::ContainerReader& in) {
                           " records, scheme history is " +
                           std::to_string(config_.history));
   }
-  std::deque<SlotRecord> history;
-  for (std::uint64_t i = 0; i < records; ++i) {
-    SlotRecord rec;
-    rec.success = state.f64();
-    rec.channel = state.f64();
-    rec.power = state.f64();
-    history.push_back(rec);
-  }
+  std::vector<double> window(3 * config_.history);
+  for (double& v : window) v = state.f64();
   const bool has_pending = state.u8() != 0;
   std::vector<double> pending_state = state.f64_vec();
   const std::uint64_t pending_action = state.u64();
@@ -209,33 +190,23 @@ void DqnScheme::load_state(const io::ContainerReader& in) {
   agent_.load_state(in);
   training_ = training;
   deploy_rng_ = deploy_rng;
-  history_ = std::move(history);
+  window_ = std::move(window);
   pending_state_ = std::move(pending_state);
   pending_action_ = static_cast<std::size_t>(pending_action);
   has_pending_ = has_pending;
 }
 
 void DqnScheme::feedback(const SlotFeedback& feedback) {
-  // Slide the observation window.
-  history_.pop_front();
-  SlotRecord rec;
-  rec.success = feedback.success ? 1.0 : 0.0;
-  rec.channel = config_.num_channels <= 1
-                    ? 0.0
-                    : static_cast<double>(feedback.channel) /
-                          static_cast<double>(config_.num_channels - 1);
-  rec.power = config_.num_power_levels <= 1
-                  ? 0.0
-                  : static_cast<double>(feedback.power_index) /
-                        static_cast<double>(config_.num_power_levels - 1);
-  history_.push_back(rec);
+  slide_window(window_, feedback.success, feedback.channel,
+               feedback.power_index, config_.num_channels,
+               config_.num_power_levels);
 
   if (has_pending_ && training_) {
     rl::Transition transition;
     transition.state = std::move(pending_state_);
     transition.action = pending_action_;
     transition.reward = feedback.reward;
-    transition.next_state = observation();
+    transition.next_state = window_;
     transition.done = false;  // continuing competition
     agent_.observe(std::move(transition));
   }

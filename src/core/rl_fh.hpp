@@ -7,7 +7,7 @@
 // power control.
 #pragma once
 
-#include <deque>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "core/scheme.hpp"
@@ -89,19 +89,13 @@ class DqnScheme : public AntiJammingScheme {
   static Config read_config(const io::ContainerReader& in);
 
  private:
-  struct SlotRecord {
-    double success = 0.0;
-    double channel = 0.0;      // normalized to [0, 1]
-    double power = 0.0;        // normalized to [0, 1]
-  };
-
   static rl::DqnConfig make_dqn_config(const Config& config);
 
   Config config_;
   rl::DqnAgent agent_;
   Rng deploy_rng_;
   bool training_ = true;
-  std::deque<SlotRecord> history_;
+  std::vector<double> window_;  // 3×I, oldest slot first (slide_window)
   std::vector<double> pending_state_;
   std::size_t pending_action_ = 0;
   bool has_pending_ = false;

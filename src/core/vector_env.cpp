@@ -15,6 +15,21 @@ EnvironmentConfig replica_config(EnvironmentConfig config, std::size_t r) {
 
 }  // namespace
 
+void slide_window(std::span<double> window, bool success, int channel,
+                  std::size_t power_index, int num_channels,
+                  std::size_t num_power_levels) {
+  std::copy(window.begin() + 3, window.end(), window.begin());
+  double* rec = window.data() + window.size() - 3;
+  rec[0] = success ? 1.0 : 0.0;
+  rec[1] = num_channels <= 1 ? 0.0
+                             : static_cast<double>(channel) /
+                                   static_cast<double>(num_channels - 1);
+  rec[2] = num_power_levels <= 1
+               ? 0.0
+               : static_cast<double>(power_index) /
+                     static_cast<double>(num_power_levels - 1);
+}
+
 VectorEnv::VectorEnv(const EnvironmentConfig& config, std::size_t replicas)
     : config_(config) {
   CTJ_CHECK_MSG(replicas > 0, "a VectorEnv needs at least one replica");
@@ -99,19 +114,8 @@ void ObservationWindows::reset() {
 void ObservationWindows::push(std::size_t r, bool success, int channel,
                               std::size_t power_index) {
   CTJ_CHECK(r < replicas_);
-  double* row = states_.data() + r * states_.cols();
-  // Slide left by one slot record and append the new one — the same window
-  // DqnScheme keeps in its deque, flattened oldest-first.
-  std::copy(row + 3, row + states_.cols(), row);
-  double* rec = row + 3 * (history_ - 1);
-  rec[0] = success ? 1.0 : 0.0;
-  rec[1] = num_channels_ <= 1 ? 0.0
-                              : static_cast<double>(channel) /
-                                    static_cast<double>(num_channels_ - 1);
-  rec[2] = num_power_levels_ <= 1
-               ? 0.0
-               : static_cast<double>(power_index) /
-                     static_cast<double>(num_power_levels_ - 1);
+  slide_window({states_.data() + r * states_.cols(), states_.cols()}, success,
+               channel, power_index, num_channels_, num_power_levels_);
 }
 
 std::span<const double> ObservationWindows::row(std::size_t r) const {

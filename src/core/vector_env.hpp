@@ -11,8 +11,9 @@
 //
 // ObservationWindows is the SoA companion on the agent side: the R sliding
 // 3×I observation windows kept as one [R × 3I] matrix that feeds the batched
-// forward directly. Row r reproduces DqnScheme::observation() bit for bit
-// (per slot, oldest first: success flag, channel/(C−1), power/(PL−1)).
+// forward directly. Each row and DqnScheme's own window slide through the
+// same slide_window() encoder (per slot, oldest first: success flag,
+// channel/(C−1), power/(PL−1)), so row r equals DqnScheme::observation().
 #pragma once
 
 #include <cstdint>
@@ -23,6 +24,13 @@
 #include "rl/matrix.hpp"
 
 namespace ctj::core {
+
+/// Slide a flattened 3×I observation window one slot: drop the oldest
+/// (success, channel, power) record and append this slot's, normalized to
+/// [0, 1] by the channel and power-level counts.
+void slide_window(std::span<double> window, bool success, int channel,
+                  std::size_t power_index, int num_channels,
+                  std::size_t num_power_levels);
 
 class VectorEnv {
  public:

@@ -19,6 +19,7 @@
 #include <string_view>
 #include <vector>
 
+#include "io/bytes.hpp"
 #include "io/format.hpp"
 
 namespace ctj::io {
@@ -76,6 +77,25 @@ class ContainerReader {
   std::uint16_t version_ = 0;
   std::vector<ChunkInfo> chunks_;
 };
+
+/// Append `state.save_state(ByteWriter&)` as the chunk `tag`.
+template <class State>
+void add_state_chunk(ContainerWriter& out, std::string_view tag,
+                     const State& state) {
+  ByteWriter w;
+  state.save_state(w);
+  out.add_chunk(tag, w.take());
+}
+
+/// Restore `state.load_state(ByteReader&)` from the chunk `tag`; bytes left
+/// over after it are a kBadPayload.
+template <class State>
+void load_state_chunk(const ContainerReader& in, std::string_view tag,
+                      State& state) {
+  ByteReader r(in.chunk(tag));
+  state.load_state(r);
+  r.expect_end();
+}
 
 /// Pad a tag to the on-disk kTagSize with spaces (validates length/ASCII).
 std::string padded_tag(std::string_view tag);

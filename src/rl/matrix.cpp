@@ -63,12 +63,6 @@ void Matrix::resize(std::size_t rows, std::size_t cols, double fill) {
   data_.assign(rows * cols, fill);
 }
 
-Matrix& Matrix::operator+=(const Matrix& other) {
-  CTJ_CHECK(rows_ == other.rows_ && cols_ == other.cols_);
-  kern::ops().saxpy(data_.size(), 1.0, other.data_.data(), data_.data());
-  return *this;
-}
-
 Matrix& Matrix::operator*=(double scalar) {
   for (double& v : data_) v *= scalar;
   return *this;

@@ -52,7 +52,6 @@ class Matrix {
   /// contents are reset to `fill`.
   void resize(std::size_t rows, std::size_t cols, double fill = 0.0);
 
-  Matrix& operator+=(const Matrix& other);
   Matrix& operator*=(double scalar);
 
   /// Serialize / deserialize (dimensions + raw doubles, little-endian host).

@@ -537,3 +537,87 @@ TEST(TrainerCheckpoint, ResumeValidatesTrainerConfig) {
   }
   std::filesystem::remove(retired_path);
 }
+
+namespace {
+
+/// A TRAINPRG payload written field by field (the on-disk layout), with a
+/// reward window of `window_len` entries.
+std::string crafted_train_progress(std::uint8_t mode, std::uint64_t replicas,
+                                   std::uint64_t slots_trained,
+                                   std::uint64_t reward_window,
+                                   std::size_t window_len) {
+  io::ByteWriter w;
+  w.u8(mode);
+  w.u64(replicas);
+  w.u64(slots_trained);
+  w.u8(0);  // early_stopped
+  w.u64(reward_window);
+  w.u8(0);  // no target_mean_reward
+  w.f64(0.0);
+  w.f64(-10.0 * static_cast<double>(window_len));  // running sum
+  w.u64(window_len);
+  for (std::size_t i = 0; i < window_len; ++i) w.f64(-10.0);
+  return w.take();
+}
+
+/// Copy of the checkpoint at `path` with TRAINPRG swapped for `progress`.
+/// Every chunk keeps a valid CRC; only the window content is hostile.
+std::string with_train_progress(const std::string& path,
+                                const std::string& progress,
+                                const std::string& out_path) {
+  const auto in = io::ContainerReader::from_file(path);
+  io::ContainerWriter out;
+  for (const auto& info : in.chunks()) {
+    out.add_chunk(info.tag, info.tag == "TRAINPRG"
+                                ? progress
+                                : std::string(in.chunk(info.tag)));
+  }
+  out.write_file(out_path);
+  return out_path;
+}
+
+}  // namespace
+
+TEST(TrainerResume, RejectsRewardWindowLongerThanConfigured) {
+  const std::string path = temp_path("ctj_hostile_window.ctjs");
+  const std::string bad_path = temp_path("ctj_hostile_window_bad.ctjs");
+  TrainerConfig config;
+  config.max_slots = 120;
+  config.reward_window = 40;
+  config.checkpoint = CheckpointOptions{path, 0, true};
+
+  for (const std::uint8_t mode : {std::uint8_t{0}, std::uint8_t{1}}) {
+    SCOPED_TRACE(static_cast<int>(mode));
+    const std::size_t replicas = mode == 0 ? 1 : 2;
+    const auto run = [&](const TrainerConfig& c) {
+      DqnScheme scheme(small_scheme_config());
+      if (mode == 0) {
+        CompetitionEnvironment env(small_env_config());
+        return train(scheme, env, c);
+      }
+      return train_batched(scheme, small_env_config(), c, replicas);
+    };
+    std::filesystem::remove(path);
+    run(config);
+
+    TrainerConfig resume = config;
+    resume.max_slots = 160;
+    // A full window (exactly reward_window entries) resumes: the crafted
+    // chunk is otherwise well-formed.
+    resume.checkpoint->path = with_train_progress(
+        path, crafted_train_progress(mode, replicas, 120, 40, 40), bad_path);
+    EXPECT_EQ(run(resume).slots_trained, 160u);
+
+    // One entry too many is a malformed payload.
+    with_train_progress(path, crafted_train_progress(mode, replicas, 120, 40, 41),
+                        bad_path);
+    try {
+      run(resume);
+      FAIL() << "expected IoError";
+    } catch (const io::IoError& e) {
+      EXPECT_EQ(e.kind(), io::ErrorKind::kBadPayload);
+    }
+  }
+  std::filesystem::remove(path);
+  std::filesystem::remove(bad_path);
+}

@@ -264,30 +264,6 @@ TEST(KernelParity, BackwardProductsUlpBounded) {
   }
 }
 
-TEST(KernelParity, SaxpyUlpBounded) {
-  REQUIRE_SIMD(levels);
-  for (const KernelOps* simd : levels) {
-    SCOPED_TRACE(simd->name);
-    Rng rng(13);
-    for (std::size_t n : {1u, 3u, 4u, 7u, 8u, 17u, 45u, 160u, 161u}) {
-      const auto x = random_vec(n, rng);
-      const auto y0 = random_vec(n, rng);
-      auto y_ref = y0;
-      auto y_simd = y0;
-      const double alpha = rng.normal();
-      kern::scalar_ops().saxpy(n, alpha, x.data(), y_ref.data());
-      simd->saxpy(n, alpha, x.data(), y_simd.data());
-      for (std::size_t i = 0; i < n; ++i) {
-        // FMA saves one rounding of a·x, so the paths differ by at most one
-        // ulp of the operand magnitudes (not of the possibly-cancelled sum).
-        const double tol = 1e-15 * (std::abs(alpha * x[i]) + std::abs(y0[i]));
-        EXPECT_LE(std::abs(y_ref[i] - y_simd[i]), tol)
-            << "n=" << n << " i=" << i;
-      }
-    }
-  }
-}
-
 TEST(KernelParity, BiasActBitExact) {
   REQUIRE_SIMD(levels);
   for (const KernelOps* simd : levels) {

@@ -583,4 +583,67 @@ TEST(Wire, MalformedFramesGetErrorReplies) {
   std::filesystem::remove_all(config.spool_dir);
 }
 
+// ---------------------------------------------------------------------------
+// Hostile progress chunks
+
+/// An SRVPRG payload written field by field (the on-disk layout), with a
+/// reward window of `window_len` entries.
+std::string crafted_serve_progress(std::uint64_t slots_done,
+                                   std::size_t window_len) {
+  io::ByteWriter w;
+  w.u64(slots_done);
+  w.f64(-10.0 * static_cast<double>(window_len));  // running sum
+  w.u64(window_len);
+  for (std::size_t i = 0; i < window_len; ++i) w.f64(-10.0);
+  w.f64(-10.0 * static_cast<double>(slots_done));  // reward_sum
+  w.u64(0);  // successes
+  w.u64(0);  // jammed slots
+  w.u64(0);  // hops
+  w.u32(0);  // reward stream CRC
+  w.f64_vec(std::vector<double>(slots_done, -10.0));  // record_rewards
+  return w.take();
+}
+
+TEST(TenantRunner, LoadRejectsHostileRewardWindow) {
+  const std::string dir = scratch_dir("hostile_window");
+  for (const char* scheme : {"ql", "dqn"}) {
+    SCOPED_TRACE(scheme);
+    const serve::JobSpec spec = small_spec(scheme, 8);
+    ASSERT_EQ(spec.reward_window, 128u);
+    auto runner = serve::TenantRunner::create(spec);
+    runner->run(256);
+    const std::string path = dir + "/tenant.ctjs";
+    runner->save(path);
+
+    const auto load_with = [&](const std::string& progress) {
+      const auto in = io::ContainerReader::from_file(path);
+      io::ContainerWriter out;
+      for (const auto& info : in.chunks()) {
+        out.add_chunk(info.tag, info.tag == "SRVPRG"
+                                    ? progress
+                                    : std::string(in.chunk(info.tag)));
+      }
+      const std::string crafted = dir + "/crafted.ctjs";
+      out.write_file(crafted);
+      return serve::TenantRunner::load(crafted, spec);
+    };
+    const auto expect_mismatch = [&](const std::string& progress) {
+      try {
+        load_with(progress);
+        FAIL() << "expected kStateMismatch";
+      } catch (const io::IoError& e) {
+        EXPECT_EQ(e.kind(), io::ErrorKind::kStateMismatch);
+      }
+    };
+
+    // Well-formed control: a full window under the slots run revives.
+    EXPECT_EQ(load_with(crafted_serve_progress(256, 128))->slots_done(), 256u);
+    // Longer than the job's reward_window.
+    expect_mismatch(crafted_serve_progress(256, 129));
+    // Within reward_window but longer than the slots run so far.
+    expect_mismatch(crafted_serve_progress(64, 65));
+  }
+  std::filesystem::remove_all(dir);
+}
+
 }  // namespace

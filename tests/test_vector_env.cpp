@@ -228,5 +228,82 @@ TEST(BatchedTrain, MultiReplicaRunsAndCountsTransitions) {
   EXPECT_GT(scheme.agent().steps(), 0u);
 }
 
+// evaluate_batched's loop as first written, transcribed verbatim: the
+// deployed-exploration stream (seeded env_config.seed ^ 0xD09, one
+// bernoulli per replica per slot, an index draw on explore) must survive
+// any refactor of the rollout layer.
+MetricsReport reference_evaluate_batched(const DqnScheme& scheme,
+                                         const EnvironmentConfig& env_config,
+                                         std::size_t slots_per_replica,
+                                         std::size_t replicas) {
+  const DqnScheme::Config& sc = scheme.config();
+  const rl::DqnAgent& agent = scheme.agent();
+  const std::size_t num_actions = agent.config().num_actions;
+  const std::size_t pl = sc.num_power_levels;
+
+  VectorEnv venv(env_config, replicas);
+  ObservationWindows windows(replicas, sc.history, sc.num_channels, pl);
+  std::vector<std::size_t> actions(replicas);
+  std::vector<int> channels(replicas);
+  std::vector<std::size_t> powers(replicas);
+  Rng explore_rng(env_config.seed ^ 0xD09ULL);
+  const double eps = scheme.deploy_epsilon();
+
+  MetricsAccumulator metrics;
+  for (std::size_t slot = 0; slot < slots_per_replica; ++slot) {
+    agent.act_greedy_batch(windows.states(), actions);
+    for (std::size_t r = 0; r < replicas; ++r) {
+      if (eps > 0.0 && explore_rng.bernoulli(eps)) {
+        actions[r] = explore_rng.index(num_actions);
+      }
+      channels[r] = static_cast<int>(actions[r] / pl);
+      powers[r] = actions[r] % pl;
+    }
+    venv.step(channels, powers);
+    for (std::size_t r = 0; r < replicas; ++r) {
+      const bool success = venv.successes()[r] != 0;
+      windows.push(r, success, venv.channels()[r], powers[r]);
+      metrics.record(success, venv.hopped()[r] != 0, powers[r] > 0,
+                     venv.rewards()[r]);
+    }
+  }
+  return metrics.report();
+}
+
+TEST(BatchedEvaluate, ExplorationStreamMatchesReferenceLoop) {
+  DqnScheme::Config sc;
+  sc.training = false;
+  sc.deploy_epsilon = 0.2;
+  sc.seed = 47;
+  DqnScheme scheme(sc);
+  DqnScheme::Config greedy_sc = sc;
+  greedy_sc.deploy_epsilon = 0.0;
+  const DqnScheme greedy(greedy_sc);  // same seed, so the same network
+
+  const std::size_t slots = 400;
+  for (std::size_t replicas : {std::size_t{1}, std::size_t{3}}) {
+    SCOPED_TRACE(replicas);
+    const EnvironmentConfig env_config = test_env_config(151 + replicas);
+    const MetricsReport expected =
+        reference_evaluate_batched(scheme, env_config, slots, replicas);
+    const MetricsReport batched =
+        evaluate_batched(scheme, env_config, slots, replicas);
+    EXPECT_EQ(batched.slots, replicas * slots);
+    EXPECT_EQ(batched.slots, expected.slots);
+    EXPECT_EQ(batched.st, expected.st);
+    EXPECT_EQ(batched.ah, expected.ah);
+    EXPECT_EQ(batched.sh, expected.sh);
+    EXPECT_EQ(batched.ap, expected.ap);
+    EXPECT_EQ(batched.sp, expected.sp);
+    EXPECT_EQ(batched.mean_reward, expected.mean_reward);
+
+    // The branch under test ran: exploring moved the outcome off the
+    // greedy policy's.
+    const MetricsReport greedy_report =
+        evaluate_batched(greedy, env_config, slots, replicas);
+    EXPECT_NE(batched.mean_reward, greedy_report.mean_reward);
+  }
+}
+
 }  // namespace
 }  // namespace ctj::core
