@@ -560,11 +560,11 @@ std::string crafted_train_progress(std::uint8_t mode, std::uint64_t replicas,
   return w.take();
 }
 
-/// Copy of the checkpoint at `path` with TRAINPRG swapped for `progress`.
-/// Every chunk keeps a valid CRC; only the window content is hostile.
-std::string with_train_progress(const std::string& path,
-                                const std::string& progress,
-                                const std::string& out_path) {
+/// Write a copy of the checkpoint at `path` to `out_path`, with TRAINPRG
+/// swapped for `progress`. Every chunk keeps a valid CRC; only the window
+/// content is hostile.
+void with_train_progress(const std::string& path, const std::string& progress,
+                         const std::string& out_path) {
   const auto in = io::ContainerReader::from_file(path);
   io::ContainerWriter out;
   for (const auto& info : in.chunks()) {
@@ -573,7 +573,6 @@ std::string with_train_progress(const std::string& path,
                                 : std::string(in.chunk(info.tag)));
   }
   out.write_file(out_path);
-  return out_path;
 }
 
 }  // namespace
@@ -602,10 +601,11 @@ TEST(TrainerResume, RejectsRewardWindowLongerThanConfigured) {
 
     TrainerConfig resume = config;
     resume.max_slots = 160;
+    resume.checkpoint->path = bad_path;
     // A full window (exactly reward_window entries) resumes: the crafted
     // chunk is otherwise well-formed.
-    resume.checkpoint->path = with_train_progress(
-        path, crafted_train_progress(mode, replicas, 120, 40, 40), bad_path);
+    with_train_progress(path, crafted_train_progress(mode, replicas, 120, 40, 40),
+                        bad_path);
     EXPECT_EQ(run(resume).slots_trained, 160u);
 
     // One entry too many is a malformed payload.
