@@ -1,5 +1,6 @@
 #include "core/rollout.hpp"
 
+#include <string>
 #include <utility>
 
 namespace ctj::core {

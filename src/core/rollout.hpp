@@ -1,6 +1,6 @@
 // The hub's rollout loop (Sec. III.C, IV.B), written once.
 //
-// Every DQN driver in the repository runs the same lockstep round: the
+// Every DQN loop in the repository runs the same lockstep round: the
 // batched policy picks one (channel, power) action per replica from the
 // replicas' 3×I observation windows, every replica steps, and each
 // replica's window slides (and, when training, its transition is observed).

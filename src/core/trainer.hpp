@@ -4,7 +4,7 @@
 // and stops early once the average reward reaches a threshold. We mirror
 // that: train for up to `max_slots` environment slots, tracking the mean
 // reward over a sliding window (core::RewardWindow), with optional early
-// stopping. Both entry points share one driver for resume, checkpoint
+// stopping. Both entry points share one loop skeleton for resume, checkpoint
 // cadence and early stop; train() plays one core::play_slot per round,
 // train_batched() one core::Rollout round.
 #pragma once

@@ -604,13 +604,13 @@ TEST(TrainerResume, RejectsRewardWindowLongerThanConfigured) {
     resume.checkpoint->path = bad_path;
     // A full window (exactly reward_window entries) resumes: the crafted
     // chunk is otherwise well-formed.
-    with_train_progress(path, crafted_train_progress(mode, replicas, 120, 40, 40),
-                        bad_path);
+    with_train_progress(
+        path, crafted_train_progress(mode, replicas, 120, 40, 40), bad_path);
     EXPECT_EQ(run(resume).slots_trained, 160u);
 
     // One entry too many is a malformed payload.
-    with_train_progress(path, crafted_train_progress(mode, replicas, 120, 40, 41),
-                        bad_path);
+    with_train_progress(
+        path, crafted_train_progress(mode, replicas, 120, 40, 41), bad_path);
     try {
       run(resume);
       FAIL() << "expected IoError";
