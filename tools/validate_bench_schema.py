@@ -76,6 +76,15 @@ def validate(doc, errors):
     # (unfiltered) run must therefore report simulated slots. Filtered smoke
     # runs that skip the env benches simply lack the metric and stay exempt.
     metrics_obj = doc.get("metrics")
+    # A micro record without metrics measured nothing (every benchmark was
+    # filtered out or the run aborted). Used as the committed baseline it
+    # would turn every headline of ctj_bench_diff into "missing from
+    # baseline, not judged" and silently disable the micro regression gate.
+    if doc.get("bench") == "micro" and not (
+            isinstance(metrics_obj, dict) and metrics_obj):
+        errors.append(
+            "micro record has no metrics: no benchmark ran, so it cannot "
+            "serve as a baseline")
     if doc.get("bench") == "micro" and isinstance(metrics_obj, dict) \
             and "BM_EnvironmentStep_ns" in metrics_obj \
             and isinstance(slots, int) and slots == 0:
